@@ -133,6 +133,22 @@ var (
 	catFeatures  = []string{"item", "store"}
 )
 
+// Connection timeouts of the HTTP server. A client has
+// readHeaderTimeout to send its request headers, which stops a stalled
+// or slow-drip client from holding a connection forever, and a
+// keep-alive connection idle for idleTimeout is closed. Neither bounds
+// a request body or a response, so large insert batches and long
+// /v1/model trainings are unaffected.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the server main listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 type insertReq struct {
 	Rel    string `json:"rel"`
 	Values []any  `json:"values"`
@@ -248,7 +264,7 @@ func main() {
 	if *pprofOn {
 		handler = withPprof(handler)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler)
 	if *oneShot {
 		if err := selfCheck(srv, svc, httpSrv.Handler); err != nil {
 			log.Fatal(err)

@@ -34,6 +34,22 @@ func newTestService(t *testing.T, shards int) (*service, http.Handler) {
 	return svc, newHandler(svc)
 }
 
+// TestHTTPServerTimeouts: the server main listens with bounds how long
+// a client may take to send its headers and how long a keep-alive
+// connection may sit idle.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(":0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.Addr != ":0" || srv.Handler == nil {
+		t.Fatalf("server = {Addr: %q, Handler: %v}, want the given address and handler", srv.Addr, srv.Handler)
+	}
+}
+
 // TestReadyzTransitions drives /readyz through its three states: ready
 // under normal load, 503 "overloaded" while the queue reads over the
 // high-water mark, and 503 "draining" once shutdown flips the flag —

@@ -97,40 +97,64 @@ type opGroup struct {
 	idx    []int
 }
 
-// groupOps partitions a batch by relation, preserving op order within
-// each relation. Cross-relation updates become serial singletons.
-func groupOps(ops []Op) []opGroup {
-	groups := make([]opGroup, 0, 4)
-	pos := make(map[string]int, 4)
+// opGrouper partitions batches by relation, preserving op order within
+// each relation; cross-relation updates become serial singletons. It
+// keeps its storage from one batch to the next.
+type opGrouper struct {
+	groups []opGroup
+	pos    map[string]int
+}
+
+// group partitions ops. The result is valid until the next call.
+func (gr *opGrouper) group(ops []Op) []opGroup {
+	if gr.pos == nil {
+		gr.pos = make(map[string]int, 4)
+	}
+	clear(gr.pos)
+	gs := gr.groups[:0]
+	start := func(serial bool, i int) {
+		if len(gs) < cap(gs) {
+			gs = gs[:len(gs)+1]
+		} else {
+			gs = append(gs, opGroup{})
+		}
+		g := &gs[len(gs)-1]
+		g.serial = serial
+		g.idx = append(g.idx[:0], i)
+	}
 	for i := range ops {
 		o := &ops[i]
 		rel := o.Tuple.Rel
 		if o.Kind == OpUpdate {
 			if o.Old.Rel != o.Tuple.Rel {
-				groups = append(groups, opGroup{serial: true, idx: []int{i}})
+				start(true, i)
 				continue
 			}
 			rel = o.Old.Rel
 		}
-		g, ok := pos[rel]
+		g, ok := gr.pos[rel]
 		if !ok {
-			pos[rel] = len(groups)
-			groups = append(groups, opGroup{idx: []int{i}})
+			gr.pos[rel] = len(gs)
+			start(false, i)
 			continue
 		}
-		groups[g].idx = append(groups[g].idx, i)
+		gs[g].idx = append(gs[g].idx, i)
 	}
-	return groups
+	gr.groups = gs
+	return gs
 }
 
 // applyOps is the shared ApplyBatch driver, generic over the strategy's
 // per-op effect payload EF. For each parallel group it runs compute
-// (read-only against group-start state) across the runtime's workers,
-// then replays apply serially in op order. serialOp handles the
-// singleton fallback groups with the strategy's own tuple-at-a-time
-// methods.
-func applyOps[EF any](b *base, ops []Op,
-	compute func(op *Op) EF,
+// over morsels of the group (read-only against group-start state) on
+// the runtime's workers — compute fills effs[k] for op ops[idx[k]] —
+// then replays apply serially in op order. The effect storage is
+// *effs, grown to the largest group and kept across calls, so a
+// strategy that reuses what it finds there computes without
+// allocating. serialOp handles the singleton fallback groups with the
+// strategy's own tuple-at-a-time methods.
+func applyOps[EF any](b *base, ops []Op, effs *[]EF,
+	compute func(idx []int, effs []EF),
 	apply func(op *Op, eff *EF) (ins, del uint64, failed bool, err error),
 	serialOp func(op *Op) (ins, del uint64, failed bool, err error),
 ) BatchResult {
@@ -146,7 +170,7 @@ func applyOps[EF any](b *base, ops []Op,
 		}
 	}
 	rt := exec.Runtime{Workers: b.rt.Workers, MorselSize: batchMorselSize, Pool: b.rt.Pool}
-	for _, g := range groupOps(ops) {
+	for _, g := range b.grouper.group(ops) {
 		if g.serial {
 			start := time.Now()
 			for _, i := range g.idx {
@@ -155,19 +179,20 @@ func applyOps[EF any](b *base, ops []Op,
 			res.MutateNanos += int64(time.Since(start))
 			continue
 		}
-		effs := make([]EF, len(g.idx))
+		if grow := len(g.idx) - len(*effs); grow > 0 {
+			*effs = append(*effs, make([]EF, grow)...)
+		}
+		es := (*effs)[:len(g.idx)]
 		start := time.Now()
 		exec.Scan(rt, len(g.idx),
 			func() struct{} { return struct{}{} },
 			func(s struct{}, lo, hi int) struct{} {
-				for i := lo; i < hi; i++ {
-					effs[i] = compute(&ops[g.idx[i]])
-				}
+				compute(g.idx[lo:hi], es[lo:hi])
 				return s
 			})
 		mid := time.Now()
 		for i, oi := range g.idx {
-			record(apply(&ops[oi], &effs[i]))
+			record(apply(&ops[oi], &es[i]))
 		}
 		res.DeltaNanos += int64(mid.Sub(start))
 		res.MutateNanos += int64(time.Since(mid))
@@ -207,27 +232,42 @@ type opEffects[EF any] struct {
 	del, ins EF
 }
 
-// computeOpEffects builds one op's effect halves with the strategy's
-// value-based delta computation. Unknown relations and arity
-// mismatches yield empty effects; the serial phase surfaces the error
-// through append/locate exactly as the tuple-at-a-time path does.
-func computeOpEffects[EF any](b *base, op *Op, tupleEffects func(n *node, vals []relation.Value, neg bool) EF) opEffects[EF] {
-	var e opEffects[EF]
+// computeOpEffects fills one op's effect halves through half, the
+// strategy's value-based delta computation for one tuple. Unknown
+// relations and arity mismatches yield empty effects; the serial phase
+// surfaces the error through append/locate exactly as the
+// tuple-at-a-time path does.
+func computeOpEffects[EF any](b *base, op *Op, e *opEffects[EF], half func(n *node, vals []relation.Value, neg bool, dst *EF)) {
 	if op.Kind == OpDelete || op.Kind == OpUpdate {
 		t := op.Tuple
 		if op.Kind == OpUpdate {
 			t = op.Old
 		}
 		if n := b.checkTuple(t); n != nil {
-			e.del = tupleEffects(n, t.Values, true)
+			half(n, t.Values, true, &e.del)
+		} else {
+			e.del = *new(EF)
 		}
 	}
 	if op.Kind == OpInsert || op.Kind == OpUpdate {
 		if n := b.checkTuple(op.Tuple); n != nil {
-			e.ins = tupleEffects(n, op.Tuple.Values, false)
+			half(n, op.Tuple.Values, false, &e.ins)
+		} else {
+			e.ins = *new(EF)
 		}
 	}
-	return e
+}
+
+// eachOp adapts a strategy's allocating per-tuple effect computation to
+// applyOps' morsel callback.
+func eachOp[EF any](b *base, ops []Op, tupleEffects func(n *node, vals []relation.Value, neg bool) EF) func(idx []int, effs []opEffects[EF]) {
+	return func(idx []int, effs []opEffects[EF]) {
+		for k, oi := range idx {
+			computeOpEffects(b, &ops[oi], &effs[k], func(n *node, vals []relation.Value, neg bool, dst *EF) {
+				*dst = tupleEffects(n, vals, neg)
+			})
+		}
+	}
 }
 
 // applyOpEffects is the serial mutate phase for one op: the physical
@@ -301,16 +341,6 @@ func keyOfVals(rel *relation.Relation, cols []int, vals []relation.Value) uint64
 	default:
 		return relation.PackKey2(vals[cols[0]].C, vals[cols[1]].C)
 	}
-}
-
-// featValsOf extracts the feature values owned by n from a value tuple,
-// mirroring node.vals for rows that are not (yet) stored.
-func (n *node) featValsOf(vals []relation.Value) []float64 {
-	out := make([]float64, len(n.featCols))
-	for i, c := range n.featCols {
-		out[i] = vals[c].F
-	}
-	return out
 }
 
 // catValsOf extracts the categorical codes owned by n from a value

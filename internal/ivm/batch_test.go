@@ -102,7 +102,7 @@ func batchesOf(stream []Tuple, seed uint64) [][]Op {
 // accounting.
 func applySerialGrouped(m Maintainer, ops []Op) BatchResult {
 	var res BatchResult
-	for _, g := range groupOps(ops) {
+	for _, g := range new(opGrouper).group(ops) {
 		for _, i := range g.idx {
 			ins, del, failed, err := serialApply(m, &ops[i])
 			res.Inserts += ins

@@ -312,19 +312,15 @@ func (m *FirstOrder) applyCatEffects(effs []catScalarEffect) {
 // against batch-start state, then the root sums replay in op order.
 func (m *FirstOrder) ApplyBatch(ops []Op) BatchResult {
 	if m.cfResult != nil {
-		return applyOps(m.base, ops,
-			func(op *Op) opEffects[[]catScalarEffect] {
-				return computeOpEffects(m.base, op, m.catTupleEffects)
-			},
+		return applyOps(m.base, ops, new([]opEffects[[]catScalarEffect]),
+			eachOp(m.base, ops, m.catTupleEffects),
 			func(op *Op, e *opEffects[[]catScalarEffect]) (uint64, uint64, bool, error) {
 				return applyOpEffects(m.base, op, e, m.applyCatEffects)
 			},
 			func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) })
 	}
-	return applyOps(m.base, ops,
-		func(op *Op) opEffects[[]scalarEffect] {
-			return computeOpEffects(m.base, op, m.tupleEffects)
-		},
+	return applyOps(m.base, ops, new([]opEffects[[]scalarEffect]),
+		eachOp(m.base, ops, m.tupleEffects),
 		func(op *Op, e *opEffects[[]scalarEffect]) (uint64, uint64, bool, error) {
 			return applyOpEffects(m.base, op, e, m.applyEffects)
 		},

@@ -49,11 +49,8 @@ func NewHigherOrder(j *query.Join, root string, features []string, opts ...Optio
 		for a := range m.batch.aggs {
 			agg := m.batch.aggs[a]
 			m.cfTrees[a] = newViewTreeLift[*ring.CatScalar](csr, m.root,
-				func(n *node, row int) *ring.CatScalar {
-					return csr.LiftVal(n.catIdx, n.catVals(row), localEval(n, row, agg))
-				},
-				func(n *node, vals []relation.Value) *ring.CatScalar {
-					return csr.LiftVal(n.catIdx, n.catValsOf(vals), localEvalVals(n, vals, agg))
+				func(dst *ring.CatScalar, n *node, fv []float64, cv []int32) {
+					csr.LiftValInto(dst, n.catIdx, cv, localEvalFeats(n, fv, agg))
 				})
 		}
 		return m, nil
@@ -86,9 +83,7 @@ func (m *HigherOrder) Insert(t Tuple) error {
 	}
 	if m.cfTrees != nil {
 		for _, vt := range m.cfTrees {
-			if delta, ok := vt.tupleDelta(n, row); ok {
-				vt.propagate(n, n.parentKey(row), delta)
-			}
+			vt.propagateRow(n, row, false)
 		}
 		return nil
 	}
@@ -126,9 +121,7 @@ func (m *HigherOrder) Delete(t Tuple) error {
 	key := n.parentKey(row)
 	if m.cfTrees != nil {
 		for _, vt := range m.cfTrees {
-			if delta, ok := vt.tupleDelta(n, row); ok {
-				vt.propagate(n, key, m.csr.Neg(delta))
-			}
+			vt.propagateRow(n, row, true)
 		}
 		m.removeRow(n, row)
 		return nil
@@ -254,14 +247,9 @@ func (m *HigherOrder) tupleEffects(n *node, vals []relation.Value, neg bool) []s
 func (m *HigherOrder) catTupleEffects(n *node, vals []relation.Value, neg bool) [][]viewEffect[*ring.CatScalar] {
 	out := make([][]viewEffect[*ring.CatScalar], len(m.cfTrees))
 	for a, vt := range m.cfTrees {
-		delta, ok := vt.tupleDeltaVals(n, vals)
-		if !ok {
-			continue
-		}
-		if neg {
-			delta = m.csr.Neg(delta)
-		}
-		out[a] = vt.computeEffects(n, keyOfVals(n.rel, n.parentKeyCols, vals), delta, nil)
+		s := vt.getScratch()
+		out[a] = vt.tupleEffects(s, new(deltaSlot[*ring.CatScalar]), n, vals, neg, nil)
+		vt.putScratch(s)
 	}
 	return out
 }
@@ -287,19 +275,15 @@ func (m *HigherOrder) catResults() []*ring.CatScalar {
 // state, then replay serially in op order.
 func (m *HigherOrder) ApplyBatch(ops []Op) BatchResult {
 	if m.cfTrees != nil {
-		return applyOps(m.base, ops,
-			func(op *Op) opEffects[[][]viewEffect[*ring.CatScalar]] {
-				return computeOpEffects(m.base, op, m.catTupleEffects)
-			},
+		return applyOps(m.base, ops, new([]opEffects[[][]viewEffect[*ring.CatScalar]]),
+			eachOp(m.base, ops, m.catTupleEffects),
 			func(op *Op, e *opEffects[[][]viewEffect[*ring.CatScalar]]) (uint64, uint64, bool, error) {
 				return applyOpEffects(m.base, op, e, m.applyCatEffects)
 			},
 			func(op *Op) (uint64, uint64, bool, error) { return serialApply(m, op) })
 	}
-	return applyOps(m.base, ops,
-		func(op *Op) opEffects[[]scalarEffect] {
-			return computeOpEffects(m.base, op, m.tupleEffects)
-		},
+	return applyOps(m.base, ops, new([]opEffects[[]scalarEffect]),
+		eachOp(m.base, ops, m.tupleEffects),
 		func(op *Op, e *opEffects[[]scalarEffect]) (uint64, uint64, bool, error) {
 			return applyOpEffects(m.base, op, e, m.applyEffects)
 		},

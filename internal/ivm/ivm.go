@@ -245,6 +245,8 @@ type base struct {
 	// rt schedules the delta scans routed through internal/exec. The
 	// zero value is the serial runtime; SetRuntime overrides it.
 	rt exec.Runtime
+	// grouper partitions ApplyBatch batches by relation.
+	grouper opGrouper
 }
 
 // ContFeatures implements Maintainer.
@@ -372,8 +374,7 @@ func (b *base) append(t Tuple) (*node, int, error) {
 	n.rel.AppendRow(t.Values...)
 	row := n.rel.NumRows() - 1
 	for ci := range n.children {
-		key := n.rel.KeyFunc(n.childKeyCols[ci])(row)
-		n.childIndexes[ci].Insert(key, int32(row))
+		n.childIndexes[ci].Insert(n.childKey(ci, row), int32(row))
 	}
 	n.rowIdx.Insert(rowHashAt(n.rel, row), int32(row))
 	return n, row, nil
@@ -404,8 +405,9 @@ func (b *base) locate(t Tuple) (*node, int, error) {
 // so the row formerly last is renumbered to the freed slot and all of
 // its index entries — child-edge indexes and the row locator — are
 // re-pointed here, keeping ids dense without tombstone liveness checks
-// on the scan paths. Both indexes bucket by selective keys (child join
-// keys, full-row hashes), so the fixup is O(bucket), not O(relation).
+// on the scan paths. The indexes record each id's bucket position, so
+// every removal and re-pointing is O(1), however many rows share the
+// key.
 func (b *base) removeRow(n *node, row int) {
 	last := n.rel.NumRows() - 1
 	for ci := range n.children {
@@ -497,22 +499,17 @@ func (b *base) Relation(name string) *relation.Relation {
 }
 
 // parentKey returns the packed key of row `row` towards n's parent.
+//
+//borg:noalloc
 func (n *node) parentKey(row int) uint64 {
-	return n.rel.KeyFunc(n.parentKeyCols)(row)
+	return n.rel.Key(n.parentKeyCols, row)
 }
 
 // childKey returns the packed key of row `row` towards child ci.
+//
+//borg:noalloc
 func (n *node) childKey(ci, row int) uint64 {
-	return n.rel.KeyFunc(n.childKeyCols[ci])(row)
-}
-
-// vals extracts the feature values owned by n from row `row`.
-func (n *node) vals(row int) []float64 {
-	out := make([]float64, len(n.featCols))
-	for i, c := range n.featCols {
-		out[i] = n.rel.Float(c, row)
-	}
-	return out
+	return n.rel.Key(n.childKeyCols[ci], row)
 }
 
 // catVals extracts the categorical codes owned by n from row `row`.

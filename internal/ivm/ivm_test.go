@@ -283,9 +283,70 @@ func TestAggIndexLayout(t *testing.T) {
 	}
 }
 
+// slidingWindow is a fixed-size churn over a random star: every
+// dimension row and the first window fact rows are loaded up front,
+// then ops alternate between inserting the next fact (cycling through
+// the star's fact rows) and retracting the oldest live one. The join
+// state, and with it the cost per op, stays constant however long the
+// churn runs.
+type slidingWindow struct {
+	facts  []Tuple
+	window int
+	k      int // ops issued so far
+}
+
+// windowSpec is the star the sliding-window benchmarks and allocation
+// pins churn over.
+var windowSpec = testdb.StarSpec{Seed: 40, FactRows: 5000, DimRows: []int{100, 50}}
+
+// newSlidingWindow loads the dimensions and the first window facts of
+// db into m.
+func newSlidingWindow(tb testing.TB, m Maintainer, db *relation.Database, window int) *slidingWindow {
+	tb.Helper()
+	w := &slidingWindow{window: window}
+	for _, r := range db.Relations() {
+		for i := 0; i < r.NumRows(); i++ {
+			t := Tuple{Rel: r.Name, Values: r.Row(i)}
+			if r.Name == "Fact" {
+				w.facts = append(w.facts, t)
+			} else if err := m.Insert(t); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	for _, t := range w.facts[:window] {
+		if err := m.Insert(t); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return w
+}
+
+// next returns the churn's next op: an insert of the next fact, or a
+// retraction of the oldest live one.
+func (w *slidingWindow) next() Op {
+	i := w.k / 2
+	w.k++
+	if w.k%2 == 1 {
+		return Op{Kind: OpInsert, Tuple: w.facts[(w.window+i)%len(w.facts)]}
+	}
+	return Op{Kind: OpDelete, Tuple: w.facts[i%len(w.facts)]}
+}
+
+// batch fills buf with the churn's next n ops.
+func (w *slidingWindow) batch(buf []Op, n int) []Op {
+	buf = buf[:0]
+	for range n {
+		buf = append(buf, w.next())
+	}
+	return buf
+}
+
+// BenchmarkInsertThroughput measures tuple-at-a-time maintenance per
+// strategy on a sliding window: each op is one Insert or Delete at a
+// constant state size.
 func BenchmarkInsertThroughput(b *testing.B) {
-	db, j, cont, _ := testdb.RandomStar(testdb.StarSpec{Seed: 40, FactRows: 5000, DimRows: []int{100, 50}})
-	stream := streamOf(db, 5)
+	db, j, cont, _ := testdb.RandomStar(windowSpec)
 	mk := []func() Maintainer{
 		func() Maintainer { m, _ := NewFIVM(j, "Fact", cont); return m },
 		func() Maintainer { m, _ := NewHigherOrder(j, "Fact", cont); return m },
@@ -294,11 +355,52 @@ func BenchmarkInsertThroughput(b *testing.B) {
 	for _, make := range mk {
 		m := make()
 		b.Run(m.Name(), func(b *testing.B) {
-			m := make()
+			w := newSlidingWindow(b, m, db, 2000)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := m.Insert(stream[i%len(stream)]); err != nil {
+				op := w.next()
+				if err := serialOpErr(m, &op); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// serialOpErr applies one op tuple-at-a-time.
+func serialOpErr(m Maintainer, op *Op) error {
+	_, _, _, err := serialApply(m, op)
+	return err
+}
+
+// applyBatchSize is the batch the ApplyBatch benchmark and allocation
+// pins use: the serving layer's default.
+const applyBatchSize = 64
+
+// BenchmarkApplyBatch measures F-IVM's batched maintenance per payload
+// on a sliding window at a constant state size. One iteration is one
+// op; ops go in as 64-op insert/retract batches.
+func BenchmarkApplyBatch(b *testing.B) {
+	db, j, cont, cat := testdb.RandomStar(windowSpec)
+	for _, p := range []Payload{PayloadCovar, PayloadPoly2, PayloadCofactor} {
+		b.Run(p.String(), func(b *testing.B) {
+			feats := cont
+			if p == PayloadCofactor {
+				feats = append(append([]string(nil), cont...), cat...)
+			}
+			m, err := NewFIVM(j, "Fact", feats, WithPayload(p))
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := newSlidingWindow(b, m, db, 2000)
+			buf := make([]Op, 0, applyBatchSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += applyBatchSize {
+				buf = w.batch(buf, min(applyBatchSize, b.N-done))
+				if res := m.ApplyBatch(buf); res.Err != nil {
+					b.Fatal(res.Err)
 				}
 			}
 		})

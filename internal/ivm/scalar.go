@@ -71,6 +71,23 @@ func localEval(n *node, row int, a aggDef) float64 {
 	return v
 }
 
+// localEvalFeats is localEval over values already extracted from a
+// tuple: fv[k] is the value of node n's k-th owned feature.
+func localEvalFeats(n *node, fv []float64, a aggDef) float64 {
+	v := 1.0
+	for k, fi := range n.featIdx {
+		for t, f := range a.feats {
+			if f != fi {
+				continue
+			}
+			for p := uint8(0); p < a.pows[t]; p++ {
+				v *= fv[k]
+			}
+		}
+	}
+	return v
+}
+
 // aggIndex reads aggregates out of a per-aggregate result vector laid
 // out as by covarAggs.
 type aggIndex struct {

@@ -2,7 +2,7 @@ package ring
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 )
 
 // Cofactor is the categorical relational ring element of Section 4 of
@@ -26,6 +26,12 @@ type Cofactor struct {
 	// Groups maps packed categorical keys (see packCatKey) to the
 	// group-restricted continuous statistics.
 	Groups map[string]*Covar
+
+	// spare holds group statistics an in-place overwrite of this element
+	// released, for the next overwrite to reuse; keys is scratch for the
+	// sorted operand keys of MulInto. Neither is part of the value.
+	spare []*Covar
+	keys  []string
 }
 
 // unboundSlot marks a categorical slot not yet bound by any Lift on
@@ -38,7 +44,13 @@ const unboundSlot = 0xFFFFFFFF
 // every other slot is unbound. Codes are relation dictionary codes
 // (never negative), so uint32 round-trips them exactly.
 func packCatKey(k int, idx []int, codes []int32) string {
-	b := make([]byte, 4*k)
+	var buf [64]byte
+	b := buf[:0]
+	if 4*k <= len(buf) {
+		b = buf[:4*k]
+	} else {
+		b = make([]byte, 4*k)
+	}
 	for i := range b {
 		b[i] = 0xFF
 	}
@@ -56,7 +68,13 @@ func mergeCatKeys(a, b string) (key string, ok bool) {
 	if a == b {
 		return a, true
 	}
-	out := make([]byte, len(a))
+	var buf [64]byte
+	out := buf[:0]
+	if len(a) <= len(buf) {
+		out = buf[:len(a)]
+	} else {
+		out = make([]byte, len(a))
+	}
 	for i := 0; i < len(a); i += 4 {
 		av := binary.BigEndian.Uint32([]byte(a[i : i+4]))
 		bv := binary.BigEndian.Uint32([]byte(b[i : i+4]))
@@ -104,12 +122,7 @@ func (e *Cofactor) Group(codes []int32) *Covar {
 // products, never in root results). The codes slice is reused across
 // calls; copy it to retain.
 func (e *Cofactor) Each(fn func(codes []int32, g *Covar)) {
-	keys := make([]string, 0, len(e.Groups))
-	for k := range e.Groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range appendSortedKeys(make([]string, 0, len(e.Groups)), e.Groups) {
 		fn(unpackCatKey(k), e.Groups[k])
 	}
 }
@@ -199,8 +212,62 @@ func (r CofactorRing) Lift(idx []int, vals []float64) *Cofactor {
 // is the covariance-ring lift of the owned continuous features.
 func (r CofactorRing) LiftCat(idx []int, vals []float64, catIdx []int, cats []int32) *Cofactor {
 	e := r.Zero()
-	e.Groups[packCatKey(r.K, catIdx, cats)] = r.covar().Lift(idx, vals)
+	r.LiftCatInto(e, idx, vals, catIdx, cats)
 	return e
+}
+
+// LiftInto implements Algebra: LiftCatInto without categorical
+// bindings.
+func (r CofactorRing) LiftInto(dst *Cofactor, idx []int, vals []float64) {
+	r.LiftCatInto(dst, idx, vals, nil, nil)
+}
+
+// LiftCatInto is LiftCat overwriting dst, reusing its group statistics.
+func (r CofactorRing) LiftCatInto(dst *Cofactor, idx []int, vals []float64, catIdx []int, cats []int32) {
+	dst.release()
+	g := dst.take(r.N)
+	r.covar().LiftInto(g, idx, vals)
+	dst.Groups[packCatKey(r.K, catIdx, cats)] = g
+}
+
+// maxSpareGroups bounds the group statistics an element keeps for
+// reuse: enough for the few groups of a tuple's lift and its products,
+// few enough that an element which once held a wide fanout sum does
+// not pin it.
+const maxSpareGroups = 4
+
+// release empties e ahead of an in-place overwrite, keeping up to
+// maxSpareGroups of its group statistics for take to hand out again.
+// A map that grew past that many groups is replaced, not cleared, so
+// its buckets are not kept either.
+func (e *Cofactor) release() {
+	//borg:nondeterministic-ok — collects groups for reuse; each is overwritten before use, so which ones are kept is irrelevant
+	for _, g := range e.Groups {
+		e.recycle(g)
+	}
+	if len(e.Groups) > maxSpareGroups {
+		e.Groups = make(map[string]*Covar)
+	} else {
+		clear(e.Groups)
+	}
+}
+
+// recycle keeps g for reuse by take, up to maxSpareGroups.
+func (e *Cofactor) recycle(g *Covar) {
+	if len(e.spare) < maxSpareGroups {
+		e.spare = append(e.spare, g)
+	}
+}
+
+// take returns group statistics over n features for e to overwrite: a
+// released one when available, a fresh one otherwise.
+func (e *Cofactor) take(n int) *Covar {
+	if k := len(e.spare); k > 0 {
+		g := e.spare[k-1]
+		e.spare = e.spare[:k-1]
+		return g
+	}
+	return CovarRing{N: n}.Zero()
 }
 
 // Add returns a+b componentwise (group union, covariance addition).
@@ -227,59 +294,80 @@ func (r CofactorRing) AddInPlace(dst, src *Cofactor) {
 	}
 }
 
-// Mul returns the group-wise product: every pair of groups whose bound
-// slots agree contributes the covariance-ring product under the merged
-// key; disagreeing pairs contribute zero. Distinct pairs can merge onto
-// ONE output key, so the pair order decides a float-addition order:
-// both operands iterate in sorted-key order to keep products
-// bitwise-deterministic across runs and worker counts.
+// Mul returns the group-wise product as a fresh element; see MulInto.
 func (r CofactorRing) Mul(a, b *Cofactor) *Cofactor {
 	out := r.Zero()
+	r.MulInto(out, a, b)
+	return out
+}
+
+// MulInto overwrites dst with the group-wise product: every pair of
+// groups whose bound slots agree contributes the covariance-ring
+// product under the merged key; disagreeing pairs contribute zero.
+// Distinct pairs can merge onto ONE output key, so the pair order
+// decides a float-addition order: both operands iterate in sorted-key
+// order to keep products bitwise-deterministic across runs and worker
+// counts. dst's group statistics are reused.
+func (r CofactorRing) MulInto(dst, a, b *Cofactor) {
+	dst.release()
 	cr := r.covar()
-	bKeys := sortedGroupKeys(b.Groups)
-	for _, ka := range sortedGroupKeys(a.Groups) {
+	keys := appendSortedKeys(dst.keys[:0], a.Groups)
+	na := len(keys)
+	keys = appendSortedKeys(keys, b.Groups)
+	dst.keys = keys
+	aKeys, bKeys := keys[:na], keys[na:]
+	for _, ka := range aKeys {
 		ga := a.Groups[ka]
 		for _, kb := range bKeys {
-			gb := b.Groups[kb]
 			k, ok := mergeCatKeys(ka, kb)
 			if !ok {
 				continue
 			}
-			p := cr.Mul(ga, gb)
-			if d, okd := out.Groups[k]; okd {
+			p := dst.take(r.N)
+			cr.MulInto(p, ga, b.Groups[kb])
+			if d, okd := dst.Groups[k]; okd {
 				d.AddInPlace(p)
+				dst.recycle(p)
 				if cr.IsZero(d) {
-					delete(out.Groups, k)
+					delete(dst.Groups, k)
+					dst.recycle(d)
 				}
-			} else if !cr.IsZero(p) {
-				out.Groups[k] = p
+			} else if cr.IsZero(p) {
+				dst.recycle(p)
+			} else {
+				dst.Groups[k] = p
 			}
 		}
 	}
-	return out
+	clear(keys) // drop the operands' key strings
 }
 
-// sortedGroupKeys returns m's keys in ascending order — the fixed
-// iteration order that keeps ring folds bitwise-deterministic whenever
-// group contributions can collide on one key.
-func sortedGroupKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// appendSortedKeys appends m's keys to dst and sorts the appended run —
+// the fixed iteration order that keeps ring folds bitwise-deterministic
+// whenever group contributions can collide on one key.
+func appendSortedKeys[V any](dst []string, m map[string]V) []string {
+	n := len(dst)
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Neg returns the additive inverse: every group negated.
 func (r CofactorRing) Neg(a *Cofactor) *Cofactor {
-	out := r.Zero()
-	cr := r.covar()
-	//borg:nondeterministic-ok — per-key map fill, no accumulation; order-insensitive
-	for k, g := range a.Groups {
-		out.Groups[k] = cr.Neg(g)
-	}
+	out := r.Clone(a)
+	r.NegInPlace(out)
 	return out
+}
+
+// NegInPlace negates every group of e.
+func (r CofactorRing) NegInPlace(e *Cofactor) {
+	cr := r.covar()
+	//borg:nondeterministic-ok — per-group negation, no accumulation; order-insensitive
+	for _, g := range e.Groups {
+		cr.NegInPlace(g)
+	}
 }
 
 // IsZero reports whether the element is the additive identity. Groups
@@ -316,19 +404,18 @@ func (r CofactorRing) Clone(e *Cofactor) *Cofactor {
 type CatScalar struct {
 	K int
 	G map[string]float64
+
+	// keys is scratch for the sorted operand keys of MulInto; not part
+	// of the value.
+	keys []string
 }
 
 // Total sums every group scalar in sorted-key order — the marginal of
 // this aggregate over the categorical grouping, deterministic across
 // runs.
 func (e *CatScalar) Total() float64 {
-	keys := make([]string, 0, len(e.G))
-	for k := range e.G {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	t := 0.0
-	for _, k := range keys {
+	for _, k := range appendSortedKeys(make([]string, 0, len(e.G)), e.G) {
 		t += e.G[k]
 	}
 	return t
@@ -342,7 +429,15 @@ type CatScalarRing struct{ K int }
 
 // LiftVal maps a tuple's local monomial value to a single-group scalar.
 func (r CatScalarRing) LiftVal(catIdx []int, cats []int32, v float64) *CatScalar {
-	return &CatScalar{K: r.K, G: map[string]float64{packCatKey(r.K, catIdx, cats): v}}
+	e := r.Zero()
+	r.LiftValInto(e, catIdx, cats, v)
+	return e
+}
+
+// LiftValInto is LiftVal overwriting dst.
+func (r CatScalarRing) LiftValInto(dst *CatScalar, catIdx []int, cats []int32, v float64) {
+	clear(dst.G)
+	dst.G[packCatKey(r.K, catIdx, cats)] = v
 }
 
 // Zero returns the additive identity: no live groups.
@@ -350,40 +445,56 @@ func (r CatScalarRing) Zero() *CatScalar {
 	return &CatScalar{K: r.K, G: make(map[string]float64)}
 }
 
-// Lift implements Algebra; maintenance injects LiftVal closures instead.
-func (r CatScalarRing) Lift(idx []int, vals []float64) *CatScalar {
+// LiftInto implements Algebra; maintenance lifts through LiftValInto
+// instead. It binds no slots and uses the product of vals.
+func (r CatScalarRing) LiftInto(dst *CatScalar, idx []int, vals []float64) {
 	v := 1.0
 	for _, x := range vals {
 		v *= x
 	}
-	return r.LiftVal(nil, nil, v)
+	r.LiftValInto(dst, nil, nil, v)
 }
 
-// Mul returns the group-wise product under merged keys. As with
-// CofactorRing.Mul, colliding pairs accumulate in sorted-key order so
-// the sums are bitwise-deterministic.
+// Mul returns the group-wise product as a fresh element; see MulInto.
 func (r CatScalarRing) Mul(a, b *CatScalar) *CatScalar {
 	out := r.Zero()
-	bKeys := sortedGroupKeys(b.G)
-	for _, ka := range sortedGroupKeys(a.G) {
+	r.MulInto(out, a, b)
+	return out
+}
+
+// MulInto overwrites dst with the group-wise product under merged keys.
+// As with CofactorRing.MulInto, colliding pairs accumulate in
+// sorted-key order so the sums are bitwise-deterministic.
+func (r CatScalarRing) MulInto(dst, a, b *CatScalar) {
+	clear(dst.G)
+	keys := appendSortedKeys(dst.keys[:0], a.G)
+	na := len(keys)
+	keys = appendSortedKeys(keys, b.G)
+	dst.keys = keys
+	for _, ka := range keys[:na] {
 		va := a.G[ka]
-		for _, kb := range bKeys {
+		for _, kb := range keys[na:] {
 			if k, ok := mergeCatKeys(ka, kb); ok {
-				out.G[k] += va * b.G[kb]
+				dst.G[k] += va * b.G[kb]
 			}
 		}
 	}
-	return out
+	clear(keys)
 }
 
 // Neg returns the additive inverse.
 func (r CatScalarRing) Neg(a *CatScalar) *CatScalar {
-	out := &CatScalar{K: r.K, G: make(map[string]float64, len(a.G))}
-	//borg:nondeterministic-ok — per-key map fill, no accumulation; order-insensitive
-	for k, v := range a.G {
-		out.G[k] = -v
-	}
+	out := r.Clone(a)
+	r.NegInPlace(out)
 	return out
+}
+
+// NegInPlace negates every group scalar of e.
+func (r CatScalarRing) NegInPlace(e *CatScalar) {
+	//borg:nondeterministic-ok — per-key negation, no accumulation; order-insensitive
+	for k, v := range e.G {
+		e.G[k] = -v
+	}
 }
 
 // AddInPlace folds src into dst, pruning exact-zero groups.

@@ -199,7 +199,9 @@ func TestCatScalarSemantics(t *testing.T) {
 	if !r.IsZero(sum) || len(sum.G) != 0 {
 		t.Fatal("scalar cancellation did not prune to the canonical zero")
 	}
-	if got := r.Lift(nil, []float64{2, 3, 4}).Total(); got != 24 {
-		t.Fatalf("interface Lift Total = %v, want the vals product 24", got)
+	lifted := r.Zero()
+	r.LiftInto(lifted, nil, []float64{2, 3, 4})
+	if got := lifted.Total(); got != 24 {
+		t.Fatalf("interface LiftInto Total = %v, want the vals product 24", got)
 	}
 }

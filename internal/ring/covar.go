@@ -43,46 +43,36 @@ func (r CovarRing) One() *Covar {
 
 // Add returns a + b as a fresh element.
 func (r CovarRing) Add(a, b *Covar) *Covar {
-	out := r.Zero()
-	out.Count = a.Count + b.Count
-	for i := range out.Sum {
-		out.Sum[i] = a.Sum[i] + b.Sum[i]
-	}
-	for i := range out.Q {
-		out.Q[i] = a.Q[i] + b.Q[i]
-	}
+	out := a.Clone()
+	out.AddInPlace(b)
 	return out
 }
 
 // Mul returns a * b as a fresh element, following the Section 5.2 rule.
 func (r CovarRing) Mul(a, b *Covar) *Covar {
 	out := r.Zero()
-	out.Count = a.Count * b.Count
-	for i := range out.Sum {
-		out.Sum[i] = b.Count*a.Sum[i] + a.Count*b.Sum[i]
-	}
-	n := r.N
-	for i := 0; i < n; i++ {
-		ai, bi := a.Sum[i], b.Sum[i]
-		arow, brow, orow := a.Q[i*n:(i+1)*n], b.Q[i*n:(i+1)*n], out.Q[i*n:(i+1)*n]
-		for j := 0; j < n; j++ {
-			orow[j] = b.Count*arow[j] + a.Count*brow[j] + ai*b.Sum[j] + bi*a.Sum[j]
-		}
-	}
+	r.MulInto(out, a, b)
 	return out
 }
 
 // Neg returns -a; with it, deletions are additions of negated elements.
 func (r CovarRing) Neg(a *Covar) *Covar {
-	out := r.Zero()
-	out.Count = -a.Count
-	for i := range out.Sum {
-		out.Sum[i] = -a.Sum[i]
-	}
-	for i := range out.Q {
-		out.Q[i] = -a.Q[i]
-	}
+	out := a.Clone()
+	r.NegInPlace(out)
 	return out
+}
+
+// NegInPlace negates e componentwise.
+//
+//borg:noalloc
+func (r CovarRing) NegInPlace(e *Covar) {
+	e.Count = -e.Count
+	for i := range e.Sum {
+		e.Sum[i] = -e.Sum[i]
+	}
+	for i := range e.Q {
+		e.Q[i] = -e.Q[i]
+	}
 }
 
 // AddInPlace accumulates src into dst (Algebra adapter).
@@ -96,6 +86,8 @@ func (r CovarRing) IsZero(e *Covar) bool { return e.IsZero() }
 func (r CovarRing) Clone(e *Covar) *Covar { return e.Clone() }
 
 // AddInPlace accumulates b into a.
+//
+//borg:noalloc
 func (a *Covar) AddInPlace(b *Covar) {
 	a.Count += b.Count
 	for i := range a.Sum {
@@ -118,6 +110,8 @@ func (a *Covar) SubInPlace(b *Covar) {
 }
 
 // MulInto computes a * b into dst (which must not alias a or b).
+//
+//borg:noalloc
 func (r CovarRing) MulInto(dst, a, b *Covar) {
 	dst.Count = a.Count * b.Count
 	for i := range dst.Sum {
@@ -137,29 +131,19 @@ func (r CovarRing) MulInto(dst, a, b *Covar) {
 // in the given feature slots, and their pairwise products in Q. idx and
 // vals run in parallel; idx entries index the global feature space [0,N).
 func (r CovarRing) Lift(idx []int, vals []float64) *Covar {
-	e := r.One()
-	for k, i := range idx {
-		e.Sum[i] = vals[k]
-	}
-	n := r.N
-	for k, i := range idx {
-		for l, j := range idx {
-			e.Q[i*n+j] = vals[k] * vals[l]
-		}
-	}
+	e := r.Zero()
+	r.LiftInto(e, idx, vals)
 	return e
 }
 
 // LiftInto is Lift reusing dst; dst must come from the same ring and is
 // fully overwritten. It avoids allocation on per-tuple maintenance paths.
+//
+//borg:noalloc
 func (r CovarRing) LiftInto(dst *Covar, idx []int, vals []float64) {
 	dst.Count = 1
-	for i := range dst.Sum {
-		dst.Sum[i] = 0
-	}
-	for i := range dst.Q {
-		dst.Q[i] = 0
-	}
+	clear(dst.Sum)
+	clear(dst.Q)
 	for k, i := range idx {
 		dst.Sum[i] = vals[k]
 	}
@@ -177,6 +161,8 @@ func (r CovarRing) LiftInto(dst *Covar, idx []int, vals []float64) {
 // O(n²) scan only runs for candidates that really drained to zero —
 // which is what lets the IVM maintainers prune dead view entries
 // without taxing the insert hot path.
+//
+//borg:noalloc
 func (a *Covar) IsZero() bool {
 	if a.Count != 0 {
 		return false

@@ -230,89 +230,119 @@ func (r *Poly2Ring) One() *Poly2 {
 
 // Add returns a + b as a fresh element.
 func (r *Poly2Ring) Add(a, b *Poly2) *Poly2 {
-	out := r.Zero()
-	for i := range out.M {
-		out.M[i] = a.M[i] + b.M[i]
-	}
+	out := a.Clone()
+	out.AddInPlace(b)
 	return out
 }
 
 // Mul returns a * b under the truncated convolution.
 func (r *Poly2Ring) Mul(a, b *Poly2) *Poly2 {
 	out := r.Zero()
+	r.MulInto(out, a, b)
+	return out
+}
+
+// MulInto computes a * b into dst (which must not alias a or b).
+//
+//borg:noalloc
+func (r *Poly2Ring) MulInto(dst, a, b *Poly2) {
+	clear(dst.M)
 	for _, s := range r.prog {
 		av := a.M[s.ai]
 		if av == 0 {
 			continue
 		}
-		out.M[s.dst] += av * b.M[s.bi]
+		dst.M[s.dst] += av * b.M[s.bi]
 	}
-	return out
 }
 
 // Neg returns -a; with it, deletions are additions of negated elements,
 // exactly as in the covariance ring.
 func (r *Poly2Ring) Neg(a *Poly2) *Poly2 {
-	out := r.Zero()
-	for i := range out.M {
-		out.M[i] = -a.M[i]
-	}
+	out := a.Clone()
+	r.NegInPlace(out)
 	return out
+}
+
+// NegInPlace negates e componentwise.
+//
+//borg:noalloc
+func (r *Poly2Ring) NegInPlace(e *Poly2) {
+	for i := range e.M {
+		e.M[i] = -e.M[i]
+	}
 }
 
 // Lift maps one tuple's feature values into the ring: count 1 plus every
 // monomial over the OWNED variables (idx), evaluated on vals. Monomials
 // touching unowned variables stay 0 — the convolution fills them in when
 // lifts of join partners multiply. idx and vals run in parallel; idx
-// entries index the global feature space [0, N).
+// entries index the global feature space [0, N) and may come in any
+// order.
 func (r *Poly2Ring) Lift(idx []int, vals []float64) *Poly2 {
 	e := r.Zero()
-	e.M[0] = 1
-	n := len(idx)
-	if n == 0 {
-		return e
-	}
-	// Walk owned variables in ascending global order, so every emitted
-	// factor list is already in canonical key order. Join-tree feature
-	// ownership appends in ascending order; re-sort defensively when a
-	// caller hands an unsorted set.
-	ord := idx
-	ovals := vals
 	if !sort.IntsAreSorted(idx) {
-		perm := make([]int, n)
+		perm := make([]int, len(idx))
 		for i := range perm {
 			perm[i] = i
 		}
 		sort.Slice(perm, func(a, b int) bool { return idx[perm[a]] < idx[perm[b]] })
-		ord = make([]int, n)
-		ovals = make([]float64, n)
+		ord := make([]int, len(idx))
+		ovals := make([]float64, len(idx))
 		for i, p := range perm {
 			ord[i] = idx[p]
 			ovals[i] = vals[p]
 		}
+		idx, vals = ord, ovals
 	}
-	var vbuf [Poly2Degree]int
-	var pbuf [Poly2Degree]uint8
-	var walk func(k, left, used int, prod float64)
-	walk = func(k, left, used int, prod float64) {
-		if used > 0 {
-			e.M[r.mustIndex(vbuf[:used], pbuf[:used])] = prod
-		}
-		if left == 0 || k == n {
-			return
-		}
-		for next := k; next < n; next++ {
-			pv := prod
-			vbuf[used] = ord[next]
-			for p := 1; p <= left; p++ {
-				pv *= ovals[next]
-				pbuf[used] = uint8(p)
-				walk(next+1, left-p, used+1, pv)
-			}
-		}
-	}
-	walk(0, Poly2Degree, 0, 1)
+	r.LiftInto(e, idx, vals)
 	return e
+}
+
+// LiftInto is Lift reusing dst, which it fully overwrites. idx must be
+// ascending (join-tree feature ownership always is), so every emitted
+// factor list is already in canonical key order.
+//
+//borg:noalloc
+func (r *Poly2Ring) LiftInto(dst *Poly2, idx []int, vals []float64) {
+	clear(dst.M)
+	dst.M[0] = 1
+	var f poly2Factors
+	r.liftWalk(dst.M, idx, vals, &f, 0, Poly2Degree, 0, 1)
+}
+
+// poly2Factors is the monomial under construction during a lift walk:
+// its variables and powers, at most Poly2Degree of each.
+type poly2Factors struct {
+	vars [Poly2Degree]int
+	pows [Poly2Degree]uint8
+}
+
+// liftWalk enumerates every monomial over idx[k:] of total degree at
+// most left, extending the used factors of f whose product is prod, and
+// stores each monomial's value into m.
+//
+//borg:noalloc
+func (r *Poly2Ring) liftWalk(m []float64, idx []int, vals []float64, f *poly2Factors, k, left, used int, prod float64) {
+	if used > 0 {
+		i, ok := r.index[monoKey(f.vars[:used], f.pows[:used])]
+		if !ok {
+			i = -1 // a feature outside the ring: fail on the bounds check
+		}
+		m[i] = prod
+	}
+	if left == 0 || k == len(idx) {
+		return
+	}
+	for next := k; next < len(idx); next++ {
+		pv := prod
+		f.vars[used] = idx[next]
+		for p := 1; p <= left; p++ {
+			pv *= vals[next]
+			f.pows[used] = uint8(p)
+			r.liftWalk(m, idx, vals, f, next+1, left-p, used+1, pv)
+		}
+	}
 }
 
 // AddInPlace accumulates src into dst (Algebra adapter).
@@ -326,6 +356,8 @@ func (r *Poly2Ring) IsZero(e *Poly2) bool { return e.IsZero() }
 func (r *Poly2Ring) Clone(e *Poly2) *Poly2 { return e.Clone() }
 
 // AddInPlace accumulates b into a.
+//
+//borg:noalloc
 func (a *Poly2) AddInPlace(b *Poly2) {
 	for i := range a.M {
 		a.M[i] += b.M[i]
@@ -340,6 +372,8 @@ func (a *Poly2) SubInPlace(b *Poly2) {
 }
 
 // IsZero reports whether a is exactly the additive identity.
+//
+//borg:noalloc
 func (a *Poly2) IsZero() bool {
 	for _, v := range a.M {
 		if v != 0 {

@@ -9,6 +9,15 @@
 // re-purposes the *same* factorized computation for counting, aggregation,
 // covariance-matrix construction, or incremental maintenance. Packages
 // internal/factor and internal/ivm are generic over Ring.
+//
+// Two interfaces split the rings by element weight. Ring takes and
+// returns values, which suits scalars and one-off evaluation. Algebra is
+// the maintenance-facing view over heavy, pointer-backed elements (Covar,
+// Poly2, Cofactor, CatScalar): every operation writes into an element
+// the caller owns, so incremental maintenance can keep its intermediate
+// products in reused scratch instead of allocating per tuple. The
+// value-returning Lift/Mul/Neg/Add on the concrete rings are thin
+// wrappers that allocate a fresh result and run the in-place form.
 package ring
 
 // Ring is a commutative ring over T. Implementations must satisfy, for
@@ -16,10 +25,6 @@ package ring
 // distributivity of Mul over Add, Zero as additive identity, One as
 // multiplicative identity, and Zero as multiplicative annihilator.
 // These axioms are property-tested in ring_test.go.
-//
-// Add and Mul take and return values; implementations for heavy elements
-// (Covar) also provide in-place variants on the concrete type for the hot
-// paths.
 type Ring[T any] interface {
 	Zero() T
 	One() T
@@ -37,15 +42,27 @@ type Inverter[T any] interface {
 // Algebra is the maintenance-facing view of a ring over heavy elements:
 // what a view hierarchy needs to lift tuples, combine subtree payloads,
 // retract contributions, and prune drained entries. CovarRing (over
-// *Covar) and Poly2Ring (over *Poly2) both implement it, which is what
-// lets one generic F-IVM propagation maintain either payload.
+// *Covar), Poly2Ring (over *Poly2), CofactorRing (over *Cofactor) and
+// CatScalarRing (over *CatScalar) implement it, which is what lets one
+// generic F-IVM propagation maintain any of these payloads.
+//
+// Every operation except Zero and Clone writes into an element the
+// caller passes in, and none of them retains its arguments. That is
+// the contract the propagation path relies on to run allocation-free:
+// it lifts and multiplies into per-worker scratch and keeps only the
+// deltas it must hand to the mutate phase.
 type Algebra[E any] interface {
+	// Zero returns a fresh additive identity, the way callers
+	// allocate elements to write into.
 	Zero() E
-	Mul(a, b E) E
-	Neg(a E) E
-	// Lift maps one tuple's owned feature values (global indexes idx,
-	// parallel values vals) into the ring.
-	Lift(idx []int, vals []float64) E
+	// LiftInto overwrites dst with one tuple's lift: its owned feature
+	// values (global indexes idx in ascending order, parallel values
+	// vals) mapped into the ring.
+	LiftInto(dst E, idx []int, vals []float64)
+	// MulInto overwrites dst with a * b. dst must alias neither operand.
+	MulInto(dst, a, b E)
+	// NegInPlace replaces e by its additive inverse.
+	NegInPlace(e E)
 	// AddInPlace accumulates src into dst.
 	AddInPlace(dst, src E)
 	// IsZero reports whether e is exactly the additive identity.
